@@ -562,11 +562,14 @@ fn main() {
     // drivers). `VmHWM` is the kernel's own high-water mark for the
     // process, so it covers every allocation path — arenas, interners,
     // thread stacks — not just what an allocator hook would see.
+    // Both figures come from one read, so the peak is never below the
+    // current RSS.
+    let rss = qi_runtime::rss_sample();
     let memory_json = {
         let opt = |v: Option<u64>| v.map_or("null".to_string(), |b| b.to_string());
         json::Obj::new()
-            .raw("peak_rss_bytes", opt(qi_runtime::peak_rss_bytes()))
-            .raw("current_rss_bytes", opt(qi_runtime::current_rss_bytes()))
+            .raw("peak_rss_bytes", opt(rss.map(|s| s.peak)))
+            .raw("current_rss_bytes", opt(rss.map(|s| s.current)))
             .finish()
     };
 
@@ -642,8 +645,8 @@ fn main() {
         lexicon.cache_stats().hit_rate() * 100.0,
         naming_cache.hit_rate() * 100.0
     );
-    if let Some(peak) = qi_runtime::peak_rss_bytes() {
-        println!("  peak RSS: {:.1} MiB", peak as f64 / (1 << 20) as f64);
+    if let Some(rss) = rss {
+        println!("  peak RSS: {:.1} MiB", rss.peak as f64 / (1 << 20) as f64);
     }
     if config.observe {
         println!(

@@ -8,16 +8,17 @@
 //! the group relation are *candidate solutions*.
 
 use crate::consistency::{rows_consistent, ConsistencyLevel};
-use crate::ctx::NamingCtx;
+use crate::ctx::{NamingCtx, SymRow};
 use crate::partition::TuplePartition;
-use qi_mapping::GroupRelation;
+use qi_runtime::Symbol;
 use std::collections::BTreeSet;
 
-/// A consistent naming solution for a set of cluster columns.
+/// A consistent naming solution for a set of cluster columns, over the
+/// group's interned rows ([`NamingCtx::sym_rows`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TupleSolution {
-    /// Labels per column; non-null on every covered column.
-    pub labels: Vec<Option<String>>,
+    /// Interned labels per column; non-null on every covered column.
+    pub labels: SymRow,
     /// Indices of the relation tuples that contributed components.
     pub used_tuples: BTreeSet<usize>,
     /// True if the solution is a single source tuple (Definition 4's
@@ -33,11 +34,8 @@ pub struct TupleSolution {
 
 /// `Combine(r, s)`: non-null components of `r`, plus `s`'s where `r` is
 /// null (Definition 3).
-pub fn combine(r: &[Option<String>], s: &[Option<String>]) -> Vec<Option<String>> {
-    r.iter()
-        .zip(s)
-        .map(|(a, b)| a.clone().or_else(|| b.clone()))
-        .collect()
+pub fn combine(r: &[Option<Symbol>], s: &[Option<Symbol>]) -> SymRow {
+    r.iter().zip(s).map(|(a, b)| a.or(*b)).collect()
 }
 
 /// Safety valve for `Combine*`: the paper's operator is exponential in
@@ -45,32 +43,39 @@ pub fn combine(r: &[Option<String>], s: &[Option<String>]) -> Vec<Option<String>
 /// enumeration is capped to keep worst-case inputs bounded.
 pub const MAX_STATES: usize = 4096;
 
-/// Enumerate the tuple-solutions derivable from a partition with
-/// `Combine*` (Definition 4), complete on the partition's covered columns.
+/// How many of `row`'s nulls `other` fills.
+fn nulls_filled(row: &[Option<Symbol>], other: &[Option<Symbol>]) -> usize {
+    row.iter()
+        .zip(other)
+        .filter(|(a, b)| a.is_none() && b.is_some())
+        .count()
+}
+
+/// Enumerate the tuple-solutions derivable from a partition of the
+/// relation's interned `rows` with `Combine*` (Definition 4), complete on
+/// the partition's covered columns.
 ///
 /// Solutions are deduplicated by label vector. The search explores
 /// combinations breadth-first from every member tuple, only combining
 /// pairs that are consistent at `level` (Definition 3 requires the
 /// operands to be consistent).
 pub fn enumerate_solutions(
-    relation: &GroupRelation,
+    rows: &[SymRow],
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> Vec<TupleSolution> {
-    #[derive(Clone)]
     struct State {
-        labels: Vec<Option<String>>,
+        labels: SymRow,
         used: BTreeSet<usize>,
     }
-    let member_tuples: Vec<usize> = partition.tuples.clone();
+    let member_tuples = &partition.tuples;
     let mut states: Vec<State> = Vec::new();
-    let mut seen: BTreeSet<Vec<Option<String>>> = BTreeSet::new();
-    for &t in &member_tuples {
-        let labels = relation.tuples[t].labels.clone();
-        if seen.insert(labels.clone()) {
+    let mut seen: BTreeSet<SymRow> = BTreeSet::new();
+    for &t in member_tuples {
+        if seen.insert(rows[t].clone()) {
             states.push(State {
-                labels,
+                labels: rows[t].clone(),
                 used: BTreeSet::from([t]),
             });
         }
@@ -79,16 +84,13 @@ pub fn enumerate_solutions(
     while !frontier.is_empty() && states.len() < MAX_STATES {
         let mut next = Vec::new();
         for &si in &frontier {
-            for &t in &member_tuples {
+            for &t in member_tuples {
                 let state = &states[si];
-                let other = &relation.tuples[t].labels;
+                let other = &rows[t];
                 // Must add information and be consistent with the state.
-                let adds = state
-                    .labels
-                    .iter()
-                    .zip(other)
-                    .any(|(a, b)| a.is_none() && b.is_some());
-                if !adds || !rows_consistent(&state.labels, other, level, ctx) {
+                if nulls_filled(&state.labels, other) == 0
+                    || !rows_consistent(&state.labels, other, level, ctx)
+                {
                     continue;
                 }
                 let combined = combine(&state.labels, other);
@@ -112,52 +114,57 @@ pub fn enumerate_solutions(
         frontier = next;
     }
     // Keep the states complete on the covered columns.
-    let mut solutions: Vec<TupleSolution> = Vec::new();
-    for state in states {
-        let complete = partition
-            .covered
-            .iter()
-            .all(|&col| state.labels[col].is_some());
-        if !complete {
-            continue;
-        }
-        let is_candidate = member_tuples
-            .iter()
-            .any(|&t| relation.tuples[t].labels == state.labels);
-        let frequency = relation
-            .tuples
-            .iter()
-            .filter(|t| t.labels == state.labels)
-            .count();
-        let expressiveness = tuple_expressiveness(&state.labels, ctx);
-        solutions.push(TupleSolution {
-            labels: state.labels,
-            used_tuples: state.used,
-            is_candidate,
-            expressiveness,
-            frequency,
-        });
+    states
+        .into_iter()
+        .filter(|state| {
+            partition
+                .covered
+                .iter()
+                .all(|&col| state.labels[col].is_some())
+        })
+        .map(|state| {
+            let is_candidate = member_tuples.iter().any(|&t| rows[t] == state.labels);
+            solution(rows, state.labels, state.used, is_candidate, ctx)
+        })
+        .collect()
+}
+
+/// A solution over `labels`, with its ranking keys: verbatim frequency
+/// among the relation's rows, and expressiveness.
+fn solution(
+    rows: &[SymRow],
+    labels: SymRow,
+    used_tuples: BTreeSet<usize>,
+    is_candidate: bool,
+    ctx: &NamingCtx<'_>,
+) -> TupleSolution {
+    TupleSolution {
+        frequency: rows.iter().filter(|r| **r == labels).count(),
+        expressiveness: tuple_expressiveness(&labels, ctx),
+        labels,
+        used_tuples,
+        is_candidate,
     }
-    solutions
 }
 
 /// Several greedy solutions, seeded from each of the widest member tuples
 /// (deduplicated by label vector). Gives the ranking stage alternatives
 /// to choose from even when exhaustive enumeration is off the table.
 pub fn greedy_solutions(
-    relation: &GroupRelation,
+    rows: &[SymRow],
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> Vec<TupleSolution> {
     const MAX_SEEDS: usize = 8;
+    let non_null = |t: usize| rows[t].iter().filter(|l| l.is_some()).count();
     let mut seeds: Vec<usize> = partition.tuples.clone();
-    seeds.sort_by_key(|&t| (usize::MAX - relation.tuples[t].non_null_count(), t));
+    seeds.sort_by_key(|&t| (usize::MAX - non_null(t), t));
     seeds.truncate(MAX_SEEDS);
     let mut out: Vec<TupleSolution> = Vec::new();
-    let mut seen: BTreeSet<Vec<Option<String>>> = BTreeSet::new();
+    let mut seen: BTreeSet<SymRow> = BTreeSet::new();
     for seed in seeds {
-        if let Some(solution) = greedy_from(relation, partition, level, ctx, seed) {
+        if let Some(solution) = greedy_from(rows, partition, level, ctx, seed) {
             if seen.insert(solution.labels.clone()) {
                 out.push(solution);
             }
@@ -166,32 +173,16 @@ pub fn greedy_solutions(
     out
 }
 
-/// Greedy linear-time solution for a partition (§4.2.1: "if the time to
-/// retrieve a consistent solution is an issue then one can always be
-/// found in linear time by applying the Combine operator along a spanning
-/// tree of the connected component"). Starts from the widest tuple and
-/// repeatedly combines in the consistent tuple that fills the most nulls.
-/// Used when the exhaustive `Combine*` enumeration exceeds its state cap
-/// without producing a complete tuple (wide root groups).
-pub fn greedy_solution(
-    relation: &GroupRelation,
-    partition: &TuplePartition,
-    level: ConsistencyLevel,
-    ctx: &NamingCtx<'_>,
-) -> Option<TupleSolution> {
-    // Seed: the member tuple with the most non-null components
-    // (ties: lowest index, i.e. source order).
-    let seed = partition
-        .tuples
-        .iter()
-        .copied()
-        .max_by_key(|&t| (relation.tuples[t].non_null_count(), usize::MAX - t))?;
-    greedy_from(relation, partition, level, ctx, seed)
-}
-
-/// Greedy construction starting from a specific seed tuple.
+/// Greedy linear-time solution for a partition, starting from a specific
+/// seed tuple (§4.2.1: "if the time to retrieve a consistent solution is
+/// an issue then one can always be found in linear time by applying the
+/// Combine operator along a spanning tree of the connected component").
+/// Repeatedly combines in the consistent tuple that fills the most nulls.
+/// Used when the exhaustive `Combine*` enumeration is off the table or
+/// exceeds its state cap without producing a complete tuple (wide root
+/// groups).
 fn greedy_from(
-    relation: &GroupRelation,
+    rows: &[SymRow],
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
@@ -203,7 +194,7 @@ fn greedy_from(
         .copied()
         .filter(|&t| t != seed)
         .collect();
-    let mut labels = relation.tuples[seed].labels.clone();
+    let mut labels = rows[seed].clone();
     let mut used = BTreeSet::from([seed]);
     loop {
         let complete = partition.covered.iter().all(|&col| labels[col].is_some());
@@ -213,12 +204,8 @@ fn greedy_from(
         // Best consistent extension: adds the most nulls.
         let mut best: Option<(usize, usize)> = None; // (gain, tuple)
         for &t in &remaining {
-            let other = &relation.tuples[t].labels;
-            let gain = labels
-                .iter()
-                .zip(other)
-                .filter(|(a, b)| a.is_none() && b.is_some())
-                .count();
+            let other = &rows[t];
+            let gain = nulls_filled(&labels, other);
             if gain == 0 || !rows_consistent(&labels, other, level, ctx) {
                 continue;
             }
@@ -228,7 +215,7 @@ fn greedy_from(
         }
         match best {
             Some((_, t)) => {
-                labels = combine(&labels, &relation.tuples[t].labels);
+                labels = combine(&labels, &rows[t]);
                 used.insert(t);
                 remaining.retain(|&x| x != t);
             }
@@ -240,29 +227,16 @@ fn greedy_from(
         return None;
     }
     let is_candidate = used.len() == 1;
-    let frequency = relation
-        .tuples
-        .iter()
-        .filter(|t| t.labels == labels)
-        .count();
-    let expressiveness = tuple_expressiveness(&labels, ctx);
-    Some(TupleSolution {
-        labels,
-        used_tuples: used,
-        is_candidate,
-        expressiveness,
-        frequency,
-    })
+    Some(solution(rows, labels, used, is_candidate, ctx))
 }
 
 /// Distinct content words across the non-null labels of a row (§4.2.1).
-pub fn tuple_expressiveness(labels: &[Option<String>], ctx: &NamingCtx<'_>) -> usize {
-    let mut keys: BTreeSet<String> = BTreeSet::new();
-    for label in labels.iter().flatten() {
-        for word in &ctx.text(label).words {
-            keys.insert(word.stem.clone());
-        }
-    }
+pub fn tuple_expressiveness(labels: &[Option<Symbol>], ctx: &NamingCtx<'_>) -> usize {
+    let texts: Vec<_> = labels.iter().flatten().map(|&s| ctx.text_sym(s)).collect();
+    let keys: BTreeSet<&str> = texts
+        .iter()
+        .flat_map(|t| t.words.iter().map(|w| w.stem.as_str()))
+        .collect();
     keys.len()
 }
 
@@ -271,27 +245,25 @@ mod tests {
     use super::*;
     use crate::partition::partition_tuples;
     use qi_lexicon::Lexicon;
-    use qi_mapping::ClusterId;
+    use qi_mapping::{ClusterId, GroupRelation};
 
     fn cids(n: u32) -> Vec<ClusterId> {
         (0..n).map(ClusterId).collect()
     }
 
+    fn row(ctx: &NamingCtx<'_>, labels: &[&str]) -> SymRow {
+        labels.iter().map(|l| Some(ctx.sym(l))).collect()
+    }
+
     #[test]
     fn combine_overlays() {
-        let r = vec![
-            Some("Seniors".to_string()),
-            Some("Adults".to_string()),
-            None,
-        ];
-        let s = vec![None, Some("Adult".to_string()), Some("Infants".to_string())];
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let [seniors, adults, adult, infants] =
+            ["Seniors", "Adults", "Adult", "Infants"].map(|l| Some(ctx.sym(l)));
         assert_eq!(
-            combine(&r, &s),
-            vec![
-                Some("Seniors".to_string()),
-                Some("Adults".to_string()), // r wins where both non-null
-                Some("Infants".to_string()),
-            ]
+            combine(&[seniors, adults, None], &[None, adult, infants]),
+            vec![seniors, adults, infants] // r wins where both non-null
         );
     }
 
@@ -314,11 +286,13 @@ mod tests {
         );
         let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         let full = &result.partitions[result.full[0]];
-        let solutions = enumerate_solutions(&relation, full, ConsistencyLevel::String, &ctx);
-        let expected: Vec<Option<String>> = ["Seniors", "Adults", "Children", "Infants"]
-            .iter()
-            .map(|s| Some(s.to_string()))
-            .collect();
+        let solutions = enumerate_solutions(
+            &ctx.sym_rows(&relation),
+            full,
+            ConsistencyLevel::String,
+            &ctx,
+        );
+        let expected = row(&ctx, &["Seniors", "Adults", "Children", "Infants"]);
         assert!(
             solutions.iter().any(|s| s.labels == expected),
             "expected solution not derived: {solutions:?}"
@@ -342,7 +316,12 @@ mod tests {
         let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         assert!(result.has_full_cover());
         let full = &result.partitions[result.full[0]];
-        let solutions = enumerate_solutions(&relation, full, ConsistencyLevel::String, &ctx);
+        let solutions = enumerate_solutions(
+            &ctx.sym_rows(&relation),
+            full,
+            ConsistencyLevel::String,
+            &ctx,
+        );
         let full_solution = solutions
             .iter()
             .find(|s| s.labels.iter().all(Option::is_some))
@@ -358,16 +337,22 @@ mod tests {
     fn expressiveness_prefers_descriptive() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let a: Vec<Option<String>> = vec![
-            Some("Max. Number of Stops".to_string()),
-            Some("Class of Ticket".to_string()),
-            Some("Preferred Airline".to_string()),
-        ];
-        let b: Vec<Option<String>> = vec![
-            Some("Number of Connections".to_string()),
-            Some("Class of Ticket".to_string()),
-            Some("Airline Preference".to_string()),
-        ];
+        let a = row(
+            &ctx,
+            &[
+                "Max. Number of Stops",
+                "Class of Ticket",
+                "Preferred Airline",
+            ],
+        );
+        let b = row(
+            &ctx,
+            &[
+                "Number of Connections",
+                "Class of Ticket",
+                "Airline Preference",
+            ],
+        );
         assert!(tuple_expressiveness(&a, &ctx) > tuple_expressiveness(&b, &ctx));
     }
 
@@ -392,7 +377,8 @@ mod tests {
             .iter()
             .find(|p| p.covered.contains(&0))
             .unwrap();
-        let solutions = enumerate_solutions(&relation, p, ConsistencyLevel::String, &ctx);
+        let solutions =
+            enumerate_solutions(&ctx.sym_rows(&relation), p, ConsistencyLevel::String, &ctx);
         // The solution is complete on columns {0,1} and null on column 2.
         assert!(solutions
             .iter()

@@ -7,8 +7,8 @@
 //! the other: designers of a single interface avoid evident ambiguities,
 //! so that tuple's pair of labels is a safe replacement.
 
-use crate::ctx::NamingCtx;
-use qi_mapping::GroupRelation;
+use crate::ctx::{NamingCtx, SymRow};
+use qi_runtime::Symbol;
 use std::collections::{BTreeSet, HashMap};
 
 /// Column pairs of a solution whose labels are homonym-conflicted:
@@ -24,11 +24,8 @@ use std::collections::{BTreeSet, HashMap};
 /// found by bucketing the columns on the two signatures instead of
 /// probing all O(n²) pairs. Matters for the wide root group, where this
 /// runs on every (incremental) relabel.
-pub fn find_conflicts(labels: &[Option<String>], ctx: &NamingCtx<'_>) -> Vec<(usize, usize)> {
-    let texts: Vec<_> = labels
-        .iter()
-        .map(|l| l.as_ref().map(|s| ctx.text(s)))
-        .collect();
+pub fn find_conflicts(labels: &[Option<Symbol>], ctx: &NamingCtx<'_>) -> Vec<(usize, usize)> {
+    let texts: Vec<_> = labels.iter().map(|l| l.map(|s| ctx.text_sym(s))).collect();
     let mut by_display: HashMap<String, Vec<usize>> = HashMap::new();
     let mut by_keys: HashMap<Vec<&str>, Vec<usize>> = HashMap::new();
     for (i, text) in texts.iter().enumerate() {
@@ -58,13 +55,14 @@ pub fn find_conflicts(labels: &[Option<String>], ctx: &NamingCtx<'_>) -> Vec<(us
     pairs.into_iter().collect()
 }
 
-/// Attempt to repair every homonym conflict in `labels`. Returns
+/// Attempt to repair every homonym conflict in `labels`, borrowing from
+/// the group relation's interned `rows`. Returns
 /// `Some(true)` when conflicts were found and all were repaired,
 /// `Some(false)` when at least one conflict remains, and `None` when the
 /// solution had no conflicts.
 pub fn repair_conflicts(
-    labels: &mut [Option<String>],
-    relation: &GroupRelation,
+    labels: &mut [Option<Symbol>],
+    rows: &[SymRow],
     ctx: &NamingCtx<'_>,
 ) -> Option<bool> {
     let conflicts = find_conflicts(labels, ctx);
@@ -73,7 +71,7 @@ pub fn repair_conflicts(
     }
     let mut all_repaired = true;
     for (i, j) in conflicts {
-        if !repair_one(labels, i, j, relation, ctx) {
+        if !repair_one(labels, i, j, rows, ctx) {
             all_repaired = false;
         }
     }
@@ -83,32 +81,32 @@ pub fn repair_conflicts(
 /// Repair a single conflicting pair by borrowing a disambiguating pair of
 /// labels from a source tuple (§4.2.3's `Employment Type` example).
 fn repair_one(
-    labels: &mut [Option<String>],
+    labels: &mut [Option<Symbol>],
     i: usize,
     j: usize,
-    relation: &GroupRelation,
+    rows: &[SymRow],
     ctx: &NamingCtx<'_>,
 ) -> bool {
-    let (Some(li), Some(lj)) = (labels[i].clone(), labels[j].clone()) else {
+    let (Some(li), Some(lj)) = (labels[i], labels[j]) else {
         return false;
     };
-    for tuple in &relation.tuples {
-        let (Some(ti), Some(tj)) = (&tuple.labels[i], &tuple.labels[j]) else {
+    for row in rows {
+        let (Some(ti), Some(tj)) = (row[i], row[j]) else {
             continue;
         };
         // The source itself must be unambiguous.
-        if ctx.equal(ti, tj) {
+        if ctx.equal_sym(ti, tj) {
             continue;
         }
         // Case 1: the tuple agrees with the solution on column i and
         // offers a different label for column j.
-        if ctx.equal(ti, &li) && !ctx.equal(tj, &li) {
-            labels[j] = Some(tj.clone());
+        if ctx.equal_sym(ti, li) && !ctx.equal_sym(tj, li) {
+            labels[j] = Some(tj);
             return true;
         }
         // Case 2: symmetric.
-        if ctx.equal(tj, &lj) && !ctx.equal(ti, &lj) {
-            labels[i] = Some(ti.clone());
+        if ctx.equal_sym(tj, lj) && !ctx.equal_sym(ti, lj) {
+            labels[i] = Some(ti);
             return true;
         }
     }
@@ -119,21 +117,19 @@ fn repair_one(
 mod tests {
     use super::*;
     use qi_lexicon::Lexicon;
-    use qi_mapping::ClusterId;
 
-    fn cids(n: u32) -> Vec<ClusterId> {
-        (0..n).map(ClusterId).collect()
+    fn row(ctx: &NamingCtx<'_>, labels: &[Option<&str>]) -> SymRow {
+        labels.iter().map(|l| l.map(|s| ctx.sym(s))).collect()
     }
 
     #[test]
     fn detects_equal_level_conflicts() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let labels = vec![
-            Some("Job Type".to_string()),
-            Some("Type of Job".to_string()),
-            Some("Company Name".to_string()),
-        ];
+        let labels = row(
+            &ctx,
+            &[Some("Job Type"), Some("Type of Job"), Some("Company Name")],
+        );
         let conflicts = find_conflicts(&labels, &ctx);
         assert_eq!(conflicts, vec![(0, 1)]);
     }
@@ -142,11 +138,10 @@ mod tests {
     fn no_conflict_in_clean_solution() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let labels = vec![Some("Make".to_string()), Some("Model".to_string()), None];
+        let labels = row(&ctx, &[Some("Make"), Some("Model"), None]);
         assert!(find_conflicts(&labels, &ctx).is_empty());
         let mut l = labels.clone();
-        let relation = GroupRelation::from_rows(&cids(3), &[]);
-        assert_eq!(repair_conflicts(&mut l, &relation, &ctx), None);
+        assert_eq!(repair_conflicts(&mut l, &[], &ctx), None);
     }
 
     /// The paper's example: (Position Options, Job Type, Type of Job,
@@ -156,28 +151,24 @@ mod tests {
     fn paper_repair_example() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let relation = GroupRelation::from_rows(
-            &cids(4),
-            &[
-                vec![
-                    Some("Position Options"),
-                    Some("Job Type"),
-                    Some("Type of Job"),
-                    Some("Company Name"),
-                ],
-                vec![None, Some("Job Type"), Some("Employment Type"), None],
-            ],
-        );
-        let mut labels = vec![
-            Some("Position Options".to_string()),
-            Some("Job Type".to_string()),
-            Some("Type of Job".to_string()),
-            Some("Company Name".to_string()),
+        let solution = [
+            Some("Position Options"),
+            Some("Job Type"),
+            Some("Type of Job"),
+            Some("Company Name"),
         ];
-        let outcome = repair_conflicts(&mut labels, &relation, &ctx);
+        let rows = [
+            row(&ctx, &solution),
+            row(
+                &ctx,
+                &[None, Some("Job Type"), Some("Employment Type"), None],
+            ),
+        ];
+        let mut labels = row(&ctx, &solution);
+        let outcome = repair_conflicts(&mut labels, &rows, &ctx);
         assert_eq!(outcome, Some(true));
-        assert_eq!(labels[2].as_deref(), Some("Employment Type"));
-        assert_eq!(labels[1].as_deref(), Some("Job Type"));
+        assert_eq!(labels[2], Some(ctx.sym("Employment Type")));
+        assert_eq!(labels[1], Some(ctx.sym("Job Type")));
         assert!(find_conflicts(&labels, &ctx).is_empty());
     }
 
@@ -186,21 +177,15 @@ mod tests {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
         // No tuple labels both columns, so the conflict cannot be fixed.
-        let relation = GroupRelation::from_rows(
-            &cids(2),
-            &[
-                vec![Some("Job Type"), None],
-                vec![None, Some("Type of Job")],
-            ],
-        );
-        let mut labels = vec![
-            Some("Job Type".to_string()),
-            Some("Type of Job".to_string()),
+        let rows = [
+            row(&ctx, &[Some("Job Type"), None]),
+            row(&ctx, &[None, Some("Type of Job")]),
         ];
-        assert_eq!(repair_conflicts(&mut labels, &relation, &ctx), Some(false));
+        let original = row(&ctx, &[Some("Job Type"), Some("Type of Job")]);
+        let mut labels = original.clone();
+        assert_eq!(repair_conflicts(&mut labels, &rows, &ctx), Some(false));
         // The solution is untouched.
-        assert_eq!(labels[0].as_deref(), Some("Job Type"));
-        assert_eq!(labels[1].as_deref(), Some("Type of Job"));
+        assert_eq!(labels, original);
     }
 
     #[test]
@@ -208,12 +193,8 @@ mod tests {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
         // The only both-columns tuple is itself ambiguous — useless.
-        let relation =
-            GroupRelation::from_rows(&cids(2), &[vec![Some("Job Type"), Some("Type of Job")]]);
-        let mut labels = vec![
-            Some("Job Type".to_string()),
-            Some("Type of Job".to_string()),
-        ];
-        assert_eq!(repair_conflicts(&mut labels, &relation, &ctx), Some(false));
+        let rows = [row(&ctx, &[Some("Job Type"), Some("Type of Job")])];
+        let mut labels = rows[0].clone();
+        assert_eq!(repair_conflicts(&mut labels, &rows, &ctx), Some(false));
     }
 }

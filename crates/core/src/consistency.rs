@@ -9,7 +9,7 @@
 
 use crate::ctx::NamingCtx;
 use crate::relations::LabelRelation;
-use qi_mapping::GroupTuple;
+use qi_runtime::Symbol;
 
 /// Consistency level of Definition 2, in relaxation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,33 +56,16 @@ impl std::fmt::Display for ConsistencyLevel {
 }
 
 /// Definition 2: two tuples are consistent at `level` if some shared
-/// cluster column carries labels related at that level.
-pub fn tuples_consistent(
-    a: &GroupTuple,
-    b: &GroupTuple,
-    level: ConsistencyLevel,
-    ctx: &NamingCtx<'_>,
-) -> bool {
-    a.labels
-        .iter()
-        .zip(&b.labels)
-        .any(|(la, lb)| match (la, lb) {
-            (Some(la), Some(lb)) => level.admits(ctx.relate(la, lb)),
-            _ => false,
-        })
-}
-
-/// Consistency of label rows expressed as slices of options — used on
-/// combined (in-progress) tuples that no longer correspond to a single
-/// schema.
+/// cluster column carries labels related at that level. Works on
+/// relation tuples and on combined (in-progress) rows alike.
 pub fn rows_consistent(
-    a: &[Option<String>],
-    b: &[Option<String>],
+    a: &[Option<Symbol>],
+    b: &[Option<Symbol>],
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> bool {
     a.iter().zip(b).any(|(la, lb)| match (la, lb) {
-        (Some(la), Some(lb)) => level.admits(ctx.relate(la, lb)),
+        (Some(la), Some(lb)) => level.admits(ctx.relate_sym(*la, *lb)),
         _ => false,
     })
 }
@@ -92,11 +75,8 @@ mod tests {
     use super::*;
     use qi_lexicon::Lexicon;
 
-    fn tuple(schema: usize, labels: &[Option<&str>]) -> GroupTuple {
-        GroupTuple {
-            schema,
-            labels: labels.iter().map(|l| l.map(str::to_string)).collect(),
-        }
+    fn row(ctx: &NamingCtx<'_>, labels: &[Option<&str>]) -> Vec<Option<Symbol>> {
+        labels.iter().map(|l| l.map(|s| ctx.sym(s))).collect()
     }
 
     #[test]
@@ -124,15 +104,15 @@ mod tests {
     fn table2_string_level() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let british = tuple(
-            3,
+        let british = row(
+            &ctx,
             &[Some("Seniors"), Some("Adults"), Some("Children"), None],
         );
-        let economy = tuple(
-            4,
+        let economy = row(
+            &ctx,
             &[None, Some("Adults"), Some("Children"), Some("Infants")],
         );
-        assert!(tuples_consistent(
+        assert!(rows_consistent(
             &british,
             &economy,
             ConsistencyLevel::String,
@@ -140,9 +120,9 @@ mod tests {
         ));
         // aa vs airtravel share no label (aa: Adults/Children; airtravel
         // after expansion: all nulls — modeled here with distinct labels).
-        let aa = tuple(0, &[None, Some("Adults"), Some("Children"), None]);
-        let airfareplanet = tuple(1, &[None, Some("Adult"), Some("Child"), Some("Infant")]);
-        assert!(!tuples_consistent(
+        let aa = row(&ctx, &[None, Some("Adults"), Some("Children"), None]);
+        let airfareplanet = row(&ctx, &[None, Some("Adult"), Some("Child"), Some("Infant")]);
+        assert!(!rows_consistent(
             &aa,
             &airfareplanet,
             ConsistencyLevel::String,
@@ -150,7 +130,7 @@ mod tests {
         ));
         // …but Adult/Adults are content-word equal, so the equality level
         // connects them.
-        assert!(tuples_consistent(
+        assert!(rows_consistent(
             &aa,
             &airfareplanet,
             ConsistencyLevel::Equality,
@@ -163,25 +143,25 @@ mod tests {
     fn table4_equality_level() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let alldest = tuple(
-            2,
+        let alldest = row(
+            &ctx,
             &[None, Some("Class of Ticket"), Some("Preferred Airline")],
         );
-        let cheap = tuple(
-            3,
+        let cheap = row(
+            &ctx,
             &[
                 Some("Max. Number of Stops"),
                 None,
                 Some("Airline Preference"),
             ],
         );
-        assert!(!tuples_consistent(
+        assert!(!rows_consistent(
             &alldest,
             &cheap,
             ConsistencyLevel::String,
             &ctx
         ));
-        assert!(tuples_consistent(
+        assert!(rows_consistent(
             &alldest,
             &cheap,
             ConsistencyLevel::Equality,
@@ -193,10 +173,10 @@ mod tests {
     fn synonymy_level() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let a = tuple(0, &[Some("Area of Study"), None]);
-        let b = tuple(1, &[Some("Field of Work"), Some("Company")]);
-        assert!(!tuples_consistent(&a, &b, ConsistencyLevel::Equality, &ctx));
-        assert!(tuples_consistent(&a, &b, ConsistencyLevel::Synonymy, &ctx));
+        let a = row(&ctx, &[Some("Area of Study"), None]);
+        let b = row(&ctx, &[Some("Field of Work"), Some("Company")]);
+        assert!(!rows_consistent(&a, &b, ConsistencyLevel::Equality, &ctx));
+        assert!(rows_consistent(&a, &b, ConsistencyLevel::Synonymy, &ctx));
     }
 
     #[test]
@@ -205,10 +185,10 @@ mod tests {
         let ctx = NamingCtx::new(&lex);
         // Table 3: {State, City} rows vs {Zip, Distance} rows share no
         // column.
-        let a = tuple(0, &[Some("State"), Some("City"), None, None]);
-        let b = tuple(1, &[None, None, Some("Zip Code"), Some("Distance")]);
+        let a = row(&ctx, &[Some("State"), Some("City"), None, None]);
+        let b = row(&ctx, &[None, None, Some("Zip Code"), Some("Distance")]);
         for level in ConsistencyLevel::LADDER {
-            assert!(!tuples_consistent(&a, &b, level, &ctx));
+            assert!(!rows_consistent(&a, &b, level, &ctx));
         }
     }
 }

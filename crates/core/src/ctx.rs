@@ -13,9 +13,15 @@
 
 use crate::relations::{relate, LabelRelation};
 use qi_lexicon::Lexicon;
+use qi_mapping::GroupRelation;
 use qi_runtime::{CacheStats, Interner, ShardedCache, Symbol};
 use qi_text::LabelText;
+use std::cmp::Ordering;
 use std::sync::Arc;
+
+/// One group-relation tuple with every label interned (`None` = the
+/// interface leaves that cluster unlabeled).
+pub type SymRow = Vec<Option<Symbol>>;
 
 /// The carryable memo state of a naming context: the label interner plus
 /// the normalized-text and pairwise-relation caches.
@@ -81,6 +87,44 @@ impl<'a> NamingCtx<'a> {
     /// A shared lease on the canonical spelling of an interned label.
     pub fn spelling(&self, sym: Symbol) -> Arc<str> {
         self.memo.interner.resolve(sym)
+    }
+
+    /// Intern every cell of a group relation once, one symbol row per
+    /// tuple; group naming compares these rows instead of the labels.
+    pub fn sym_rows(&self, relation: &GroupRelation) -> Vec<SymRow> {
+        relation
+            .tuples
+            .iter()
+            .map(|t| {
+                t.labels
+                    .iter()
+                    .map(|l| l.as_deref().map(|s| self.sym(s)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The labels of an interned row, spelled out.
+    pub fn spell_row(&self, row: &[Option<Symbol>]) -> Vec<Option<String>> {
+        row.iter()
+            .map(|l| l.map(|s| self.spelling(s).to_string()))
+            .collect()
+    }
+
+    /// Order two interned rows as their spelled-out label vectors order
+    /// (`None` first, then by spelling). Distinct symbols always spell
+    /// differently, so only differing cells are resolved.
+    pub fn cmp_rows(&self, a: &[Option<Symbol>], b: &[Option<Symbol>]) -> Ordering {
+        for (x, y) in a.iter().zip(b) {
+            let order = match (x, y) {
+                (Some(x), Some(y)) if x != y => self.spelling(*x).cmp(&self.spelling(*y)),
+                _ => x.is_some().cmp(&y.is_some()),
+            };
+            if order.is_ne() {
+                return order;
+            }
+        }
+        a.len().cmp(&b.len())
     }
 
     /// Normalized form of a raw label (memoized).

@@ -454,11 +454,8 @@ impl<'a> Labeler<'a> {
         // ---------- Phase 3a: assign group-field labels ----------------------
         let phase_span = self.telemetry.timed("label.phase3.groups");
         for group in &groups {
-            let best = group.naming.best();
-            let labels: Vec<Option<String>> = match best {
-                Some(solution) => solution.labels.clone(),
-                None => vec![None; group.clusters.len()],
-            };
+            let solution = &group.naming.solution;
+            let labels = solution.labels.clone();
             for (leaf, label) in group.leaves.iter().zip(&labels) {
                 tree.set_label(*leaf, label.clone());
             }
@@ -489,7 +486,7 @@ impl<'a> Labeler<'a> {
                 level: group.naming.level,
                 consistent: group.naming.consistent,
                 labels,
-                conflict_repaired: best.and_then(|s| s.conflict_repaired),
+                conflict_repaired: solution.conflict_repaired,
                 leaves: group.leaves.clone(),
                 column_options,
             });
@@ -745,9 +742,6 @@ impl<'a> Labeler<'a> {
 /// the partition that produced the solution (schemas supplying no tuple
 /// are vacuously consistent).
 fn candidate_consistent_with_group(candidate: &CandidateLabel, group: &GroupWork) -> bool {
-    let Some(solution) = group.naming.best() else {
-        return true;
-    };
     if !group.naming.consistent {
         // Partially consistent solutions span partitions; full Definition
         // 6 consistency is unattainable (the node can only be weakly
@@ -761,7 +755,7 @@ fn candidate_consistent_with_group(candidate: &CandidateLabel, group: &GroupWork
             .iter()
             .position(|t| t.schema == schema)
         {
-            Some(idx) => solution.partition_tuples.contains(&idx),
+            Some(idx) => group.naming.solution.partition_tuples.contains(&idx),
             None => true, // no tuple — no conflicting evidence
         }
     })

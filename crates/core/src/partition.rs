@@ -6,8 +6,8 @@
 //! assembled by `Combine*`; the union of the members' non-null columns is
 //! the set of clusters the partition can name (Proposition 1).
 
-use crate::consistency::{tuples_consistent, ConsistencyLevel};
-use crate::ctx::NamingCtx;
+use crate::consistency::{rows_consistent, ConsistencyLevel};
+use crate::ctx::{NamingCtx, SymRow};
 use qi_mapping::GroupRelation;
 use std::collections::BTreeSet;
 
@@ -59,8 +59,9 @@ pub fn partition_tuples(
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> PartitionResult {
-    let comp = components(relation, level, ctx);
-    result_from_components(relation, level, &comp)
+    let rows = ctx.sym_rows(relation);
+    let comp = components(&rows, level, ctx);
+    result_from_components(&rows, level, &comp)
 }
 
 fn find(parent: &mut Vec<usize>, x: usize) -> usize {
@@ -96,20 +97,17 @@ fn canonicalize(parent: &mut Vec<usize>) -> Vec<usize> {
     comp
 }
 
-/// The canonical component ids of a partitioning: `comp[i]` is the
-/// smallest tuple index in tuple `i`'s connected component. This is the
-/// carryable form of a partitioning — [`extend_components`] grows it by
-/// one appended tuple without redoing the O(n²) pairwise closure.
-pub fn components(
-    relation: &GroupRelation,
-    level: ConsistencyLevel,
-    ctx: &NamingCtx<'_>,
-) -> Vec<usize> {
-    let n = relation.tuples.len();
+/// The canonical component ids of a partitioning of a relation's
+/// interned rows ([`NamingCtx::sym_rows`]): `comp[i]` is the smallest
+/// tuple index in tuple `i`'s connected component. This is the carryable
+/// form of a partitioning — [`extend_components`] grows it by one
+/// appended tuple without redoing the O(n²) pairwise closure.
+pub fn components(rows: &[SymRow], level: ConsistencyLevel, ctx: &NamingCtx<'_>) -> Vec<usize> {
+    let n = rows.len();
     let mut parent: Vec<usize> = (0..n).collect();
     for i in 0..n {
         for j in (i + 1)..n {
-            if tuples_consistent(&relation.tuples[i], &relation.tuples[j], level, ctx) {
+            if rows_consistent(&rows[i], &rows[j], level, ctx) {
                 let ri = find(&mut parent, i);
                 let rj = find(&mut parent, j);
                 if ri != rj {
@@ -127,12 +125,12 @@ pub fn components(
 /// labels on shared columns are what they always were), so only the new
 /// tuple's edges need computing.
 pub fn extend_components(
-    relation: &GroupRelation,
+    rows: &[SymRow],
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
     seed: &[usize],
 ) -> Vec<usize> {
-    let n = relation.tuples.len();
+    let n = rows.len();
     debug_assert_eq!(
         seed.len() + 1,
         n,
@@ -140,9 +138,9 @@ pub fn extend_components(
     );
     let mut parent: Vec<usize> = (0..n).collect();
     parent[..n - 1].copy_from_slice(seed);
-    let appended = &relation.tuples[n - 1];
-    for t in 0..n - 1 {
-        if tuples_consistent(appended, &relation.tuples[t], level, ctx) {
+    let (appended, old) = rows.split_last().expect("extension has an appended tuple");
+    for (t, row) in old.iter().enumerate() {
+        if rows_consistent(appended, row, level, ctx) {
             let rt = find(&mut parent, t);
             let rn = find(&mut parent, n - 1);
             if rt != rn {
@@ -155,13 +153,17 @@ pub fn extend_components(
 
 /// Assemble the full [`PartitionResult`] from canonical component ids.
 pub fn result_from_components(
-    relation: &GroupRelation,
+    rows: &[SymRow],
     level: ConsistencyLevel,
     comp: &[usize],
 ) -> PartitionResult {
     let mut groups: Vec<(usize, TuplePartition)> = Vec::new();
     for (i, &root) in comp.iter().enumerate() {
-        let covered: Vec<usize> = relation.tuples[i].covered_columns();
+        let covered = rows[i]
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.is_some())
+            .map(|(c, _)| c);
         match groups.iter_mut().find(|(r, _)| *r == root) {
             Some((_, p)) => {
                 p.tuples.push(i);
@@ -172,7 +174,7 @@ pub fn result_from_components(
                     root,
                     TuplePartition {
                         tuples: vec![i],
-                        covered: covered.into_iter().collect(),
+                        covered: covered.collect(),
                     },
                 ));
             }

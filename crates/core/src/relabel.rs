@@ -25,9 +25,10 @@
 //! the previous run. Phases 2 and 3 re-run in full; they are cheap tree
 //! walks over phase-1 output.
 //!
-//! Labels are cached as plain `String`s, not interned symbols: the naming
-//! context (and its symbol table) lives only for one run, so reused
-//! candidates are re-interned on the way back in.
+//! Candidate labels are cached as plain `String`s and re-interned on the
+//! way back in. A group's naming state holds interned symbol rows; they
+//! stay valid because the cache carries the [`NamingMemo`] that interned
+//! them, and the next run names its groups through that same memo.
 
 use crate::ctx::NamingMemo;
 use crate::internal::CandidateLabel;
@@ -61,7 +62,7 @@ impl RelabelDelta {
 /// via [`crate::Labeler::label_with`].
 #[derive(Debug, Clone, Default)]
 pub struct RelabelCache {
-    /// Group key (clusters in column order) → relation + naming.
+    /// Group key (clusters in column order) → relation + winning naming.
     pub(crate) groups: HashMap<Vec<ClusterId>, CachedGroup>,
     /// Internal-node coverage (sorted) → candidate set + LI usage.
     pub(crate) internal: HashMap<Vec<ClusterId>, CachedInternal>,

@@ -1,25 +1,28 @@
 //! Naming the fields of a group (§4.1–§4.3).
 //!
-//! `name_group` walks the relaxation ladder of Definition 2: at each
-//! consistency level it partitions the group relation (§4.1.1); as soon as
-//! some partition covers every (coverable) cluster it extracts all
-//! tuple-solutions with `Combine*`, ranks them (§4.2.1: expressiveness,
-//! then frequency — or the most-general baseline ordering), repairs
-//! homonym conflicts (§4.2.3) and reports a *consistent* naming. If no
-//! level produces a covering partition, the greedy concatenation of
-//! §4.2.2 builds a *partially consistent* naming instead.
+//! `name_group` interns the group relation's labels once, one symbol row
+//! per tuple, and walks the relaxation ladder of Definition 2 on those
+//! rows: at each consistency level it partitions the relation (§4.1.1);
+//! as soon as some partition covers every (coverable) cluster it
+//! extracts the tuple-solutions with `Combine*` and keeps the best-ranked
+//! one (§4.2.1: expressiveness, then frequency — or the most-general
+//! baseline ordering), repairs its homonym conflicts (§4.2.3) and reports
+//! a *consistent* naming. If no level produces a covering partition, the
+//! greedy concatenation of §4.2.2 builds a *partially consistent* naming
+//! instead. Labels are spelled out only for the solution that is kept.
 
 use crate::combine::{enumerate_solutions, greedy_solutions, tuple_expressiveness, TupleSolution};
 use crate::conflicts::repair_conflicts;
 use crate::consistency::ConsistencyLevel;
-use crate::ctx::NamingCtx;
+use crate::ctx::{NamingCtx, SymRow};
 use crate::partition::{components, extend_components, result_from_components, TuplePartition};
 use crate::policy::{LabelSelection, NamingPolicy};
 use qi_mapping::GroupRelation;
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// One ranked naming alternative for a group.
+/// The naming chosen for a group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupSolution {
     /// Labels per cluster column (`None` = no source ever labels it).
@@ -42,9 +45,8 @@ pub struct GroupSolution {
 /// The naming outcome for one group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupNaming {
-    /// Alternatives, best first. Non-empty whenever the relation has at
-    /// least one tuple.
-    pub alternatives: Vec<GroupSolution>,
+    /// The best-ranked solution, conflict-repaired.
+    pub solution: GroupSolution,
     /// Level at which consistency was achieved; `None` for partially
     /// consistent outcomes.
     pub level: Option<ConsistencyLevel>,
@@ -53,55 +55,53 @@ pub struct GroupNaming {
 }
 
 impl GroupNaming {
-    /// The best alternative, if any.
+    /// The chosen solution. Always present: a group no source labels
+    /// gets the all-null solution.
     pub fn best(&self) -> Option<&GroupSolution> {
-        self.alternatives.first()
+        Some(&self.solution)
     }
 }
 
-/// The index `rank` would sort first, without materializing the sort:
-/// first-encountered minimum under the same comparator (ties keep the
-/// earlier solution, matching the stable sort).
-fn best_of(solutions: &[TupleSolution], selection: LabelSelection) -> Option<usize> {
-    let cmp = |a: &TupleSolution, b: &TupleSolution| match selection {
+/// The ranking of §4.2.1 under the policy's selection strategy: `Less`
+/// when `a` ranks before `b`. Ties order by label spelling.
+fn rank_order(
+    a: &TupleSolution,
+    b: &TupleSolution,
+    selection: LabelSelection,
+    ctx: &NamingCtx<'_>,
+) -> Ordering {
+    match selection {
         LabelSelection::MostDescriptive => b
             .expressiveness
             .cmp(&a.expressiveness)
-            .then(b.frequency.cmp(&a.frequency))
-            .then(a.labels.cmp(&b.labels)),
+            .then(b.frequency.cmp(&a.frequency)),
         LabelSelection::MostGeneral => b
             .frequency
             .cmp(&a.frequency)
-            .then(a.expressiveness.cmp(&b.expressiveness))
-            .then(a.labels.cmp(&b.labels)),
-    };
-    let mut best: Option<usize> = None;
-    for (i, s) in solutions.iter().enumerate() {
-        match best {
-            Some(b) if cmp(s, &solutions[b]).is_lt() => best = Some(i),
-            None => best = Some(i),
-            _ => {}
+            .then(a.expressiveness.cmp(&b.expressiveness)),
+    }
+    .then_with(|| ctx.cmp_rows(&a.labels, &b.labels))
+}
+
+/// The best-ranked item in one pass: the head of a stable sort by
+/// [`rank_order`], so among items ranking equal (the same label vector
+/// from two partitions) the first seen wins.
+fn pick_best<T>(
+    items: impl IntoIterator<Item = T>,
+    solution: impl Fn(&T) -> &TupleSolution,
+    selection: LabelSelection,
+    ctx: &NamingCtx<'_>,
+) -> Option<T> {
+    let mut best: Option<T> = None;
+    for item in items {
+        if best
+            .as_ref()
+            .is_none_or(|b| rank_order(solution(&item), solution(b), selection, ctx).is_lt())
+        {
+            best = Some(item);
         }
     }
     best
-}
-
-/// Order solutions per the policy's selection strategy.
-fn rank(solutions: &mut [GroupSolution], selection: LabelSelection) {
-    match selection {
-        LabelSelection::MostDescriptive => solutions.sort_by(|a, b| {
-            b.expressiveness
-                .cmp(&a.expressiveness)
-                .then(b.frequency.cmp(&a.frequency))
-                .then(a.labels.cmp(&b.labels))
-        }),
-        LabelSelection::MostGeneral => solutions.sort_by(|a, b| {
-            b.frequency
-                .cmp(&a.frequency)
-                .then(a.expressiveness.cmp(&b.expressiveness))
-                .then(a.labels.cmp(&b.labels))
-        }),
-    }
 }
 
 /// Solutions of one partition: the exhaustive `Combine*` enumeration for
@@ -112,7 +112,7 @@ fn rank(solutions: &mut [GroupSolution], selection: LabelSelection) {
 /// paper accepts partially consistent solutions for (§4), so a single
 /// greedy solution is adequate there.
 fn partition_solutions(
-    relation: &GroupRelation,
+    rows: &[SymRow],
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
@@ -124,23 +124,47 @@ fn partition_solutions(
         || (partition.tuples.len() <= MAX_EXHAUSTIVE_TUPLES
             && partition.covered.len() <= MAX_EXHAUSTIVE_WIDTH)
     {
-        let solutions = enumerate_solutions(relation, partition, level, ctx);
+        let solutions = enumerate_solutions(rows, partition, level, ctx);
         if !solutions.is_empty() {
             return solutions;
         }
     }
-    greedy_solutions(relation, partition, level, ctx)
+    greedy_solutions(rows, partition, level, ctx)
 }
 
-fn to_group_solution(solution: TupleSolution, partition_tuples: Vec<usize>) -> GroupSolution {
+/// The all-null solution of a width-`width` group.
+fn null_solution(width: usize) -> TupleSolution {
+    TupleSolution {
+        labels: vec![None; width],
+        used_tuples: BTreeSet::new(),
+        is_candidate: false,
+        expressiveness: 0,
+        frequency: 0,
+    }
+}
+
+/// Turn the kept solution into the group's naming: repair its homonym
+/// conflicts when the policy asks for it, then spell its labels out.
+fn finish(
+    mut solution: TupleSolution,
+    partition_tuples: Vec<usize>,
+    rows: &[SymRow],
+    policy: &NamingPolicy,
+    ctx: &NamingCtx<'_>,
+) -> GroupSolution {
+    let conflict_repaired = if policy.repair_conflicts {
+        repair_conflicts(&mut solution.labels, rows, ctx)
+    } else {
+        None
+    };
     GroupSolution {
-        labels: solution.labels,
+        labels: ctx.spell_row(&solution.labels),
         used_tuples: solution.used_tuples,
         partition_tuples,
         expressiveness: solution.expressiveness,
         frequency: solution.frequency,
         is_candidate: solution.is_candidate,
-        conflict_repaired: None,
+        conflict_repaired,
     }
 }
 
@@ -154,8 +178,9 @@ pub struct PartitionSolutions {
     /// Member tuple indices of the partition, ascending.
     pub tuples: Vec<usize>,
     /// Raw `Combine*` / greedy output for the partition, pre-ranking.
-    /// Shared, so capturing a run's state never deep-copies the
-    /// solution lists.
+    /// Its symbols belong to the run's naming memo, which
+    /// [`crate::RelabelCache`] carries alongside. Shared, so capturing a
+    /// run's state never deep-copies the solution lists.
     pub solutions: Arc<Vec<TupleSolution>>,
 }
 
@@ -195,16 +220,17 @@ struct ExtendSeed<'s> {
 /// contributing tuples, candidacy, expressiveness — is append-invariant.
 fn remap_solution(
     solution: &TupleSolution,
-    relation: &GroupRelation,
+    rows: &[SymRow],
+    width: usize,
     column_map: &[usize],
     appended: bool,
 ) -> TupleSolution {
-    let mut labels: Vec<Option<String>> = vec![None; relation.width()];
+    let mut labels: SymRow = vec![None; width];
     for (old_col, &new_col) in column_map.iter().enumerate() {
-        labels[new_col] = solution.labels[old_col].clone();
+        labels[new_col] = solution.labels[old_col];
     }
     let mut frequency = solution.frequency;
-    if appended && relation.tuples[relation.tuples.len() - 1].labels == labels {
+    if appended && rows.last() == Some(&labels) {
         frequency += 1;
     }
     TupleSolution {
@@ -270,22 +296,21 @@ fn name_group_impl(
         // Nothing is labeled anywhere: the group keeps null labels.
         return (
             GroupNaming {
-                alternatives: vec![GroupSolution {
-                    labels: vec![None; relation.width()],
-                    used_tuples: BTreeSet::new(),
-                    partition_tuples: Vec::new(),
-                    expressiveness: 0,
-                    frequency: 0,
-                    is_candidate: false,
-                    conflict_repaired: None,
-                }],
+                solution: finish(
+                    null_solution(relation.width()),
+                    Vec::new(),
+                    &[],
+                    policy,
+                    ctx,
+                ),
                 level: None,
                 consistent: false,
             },
             capture.then(GroupNamingState::default),
         );
     }
-    let n = relation.tuples.len();
+    let rows = ctx.sym_rows(relation);
+    let n = rows.len();
     // Components at a level: seeded extension when the previous run
     // partitioned at this level (O(n) new-tuple edges), full O(n²)
     // closure otherwise.
@@ -293,7 +318,7 @@ fn name_group_impl(
         if let Some(seed) = seed {
             if let Some((_, old)) = seed.old.levels.iter().find(|(l, _)| *l == level) {
                 if seed.appended && old.len() + 1 == n {
-                    return extend_components(relation, level, ctx, old);
+                    return extend_components(&rows, level, ctx, old);
                 }
                 if !seed.appended && old.len() == n {
                     // No appended tuple: the component structure is
@@ -302,50 +327,30 @@ fn name_group_impl(
                 }
             }
         }
-        components(relation, level, ctx)
+        components(&rows, level, ctx)
     };
     let mut visited: Vec<(ConsistencyLevel, Vec<usize>)> = Vec::new();
     for level in policy.levels() {
         let comps = comps_for(level);
-        let result = result_from_components(relation, level, &comps);
+        let result = result_from_components(&rows, level, &comps);
         visited.push((level, comps));
-        if !result.has_full_cover() {
-            continue;
-        }
-        let mut alternatives: Vec<GroupSolution> = Vec::new();
-        // Dedup on interned label symbols: equality matches exact-string
-        // dedup, but each key is a handful of u32s instead of cloned
-        // Strings.
-        let mut seen: BTreeSet<Vec<Option<qi_runtime::Symbol>>> = BTreeSet::new();
-        for &pi in &result.full {
+        let solutions = result.full.iter().flat_map(|&pi| {
             let partition = &result.partitions[pi];
-            for solution in partition_solutions(relation, partition, level, ctx) {
-                let key: Vec<Option<qi_runtime::Symbol>> = solution
-                    .labels
-                    .iter()
-                    .map(|l| l.as_deref().map(|s| ctx.sym(s)))
-                    .collect();
-                if seen.insert(key) {
-                    alternatives.push(to_group_solution(solution, partition.tuples.clone()));
-                }
-            }
-        }
-        if alternatives.is_empty() {
-            // A covering partition whose Combine* closure still cannot
-            // produce a complete tuple (possible when the connecting
-            // tuples disagree) — fall through to the next level.
+            partition_solutions(&rows, partition, level, ctx)
+                .into_iter()
+                .map(move |solution| (solution, partition))
+        });
+        // No covering partition, or only covering partitions whose
+        // Combine* closure cannot produce a complete tuple (possible when
+        // the connecting tuples disagree) — fall through to the next
+        // level.
+        let Some((best, partition)) = pick_best(solutions, |(s, _)| s, policy.selection, ctx)
+        else {
             continue;
-        }
-        rank(&mut alternatives, policy.selection);
-        if policy.repair_conflicts {
-            for alternative in &mut alternatives {
-                alternative.conflict_repaired =
-                    repair_conflicts(&mut alternative.labels, relation, ctx);
-            }
-        }
+        };
         return (
             GroupNaming {
-                alternatives,
+                solution: finish(best, partition.tuples.clone(), &rows, policy, ctx),
                 level: Some(level),
                 consistent: true,
             },
@@ -360,10 +365,10 @@ fn name_group_impl(
     // The ladder normally ends at max_level, so its partitioning is
     // already in hand; recompute only under a non-standard ladder.
     let result = match visited.iter().find(|(l, _)| *l == max_level) {
-        Some((_, comps)) => result_from_components(relation, max_level, comps),
+        Some((_, comps)) => result_from_components(&rows, max_level, comps),
         None => {
             let comps = comps_for(max_level);
-            let result = result_from_components(relation, max_level, &comps);
+            let result = result_from_components(&rows, max_level, &comps);
             visited.push((max_level, comps));
             result
         }
@@ -379,7 +384,9 @@ fn name_group_impl(
             .map(|ps| ps.iter().map(|p| (p.tuples.as_slice(), p)).collect())
     });
     let mut captured: Vec<PartitionSolutions> = Vec::new();
-    let mut per_partition: Vec<GroupSolution> = Vec::new();
+    // Greedy concatenation input: the best solution of each partition,
+    // keyed by its non-null count.
+    let mut per_partition: Vec<(usize, TupleSolution)> = Vec::new();
     for partition in &result.partitions {
         let raw: Arc<Vec<TupleSolution>> = match reusable
             .as_ref()
@@ -390,11 +397,13 @@ fn name_group_impl(
                 Arc::new(
                     old.solutions
                         .iter()
-                        .map(|sol| remap_solution(sol, relation, s.column_map, s.appended))
+                        .map(|sol| {
+                            remap_solution(sol, &rows, relation.width(), s.column_map, s.appended)
+                        })
                         .collect(),
                 )
             }
-            None => Arc::new(partition_solutions(relation, partition, max_level, ctx)),
+            None => Arc::new(partition_solutions(&rows, partition, max_level, ctx)),
         };
         if capture {
             captured.push(PartitionSolutions {
@@ -402,45 +411,27 @@ fn name_group_impl(
                 solutions: Arc::clone(&raw),
             });
         }
-        // Only the top-ranked solution of a partition feeds the greedy
-        // concatenation — select it directly instead of sorting all.
-        if let Some(best) = best_of(&raw, policy.selection) {
-            per_partition.push(to_group_solution(
-                raw[best].clone(),
-                partition.tuples.clone(),
-            ));
+        if let Some(best) = pick_best(raw.iter(), |s| *s, policy.selection, ctx) {
+            let non_null = best.labels.iter().filter(|l| l.is_some()).count();
+            per_partition.push((non_null, best.clone()));
         }
     }
     // Greedy concatenation: start from the widest partial solution, fill
-    // nulls from the next widest, repeat. Non-null counts are computed
-    // once, not per comparison.
-    let mut keyed: Vec<(usize, GroupSolution)> = per_partition
-        .into_iter()
-        .map(|s| (s.labels.iter().filter(|l| l.is_some()).count(), s))
-        .collect();
-    keyed.sort_by(|(na, a), (nb, b)| nb.cmp(na).then(a.labels.cmp(&b.labels)));
-    let per_partition: Vec<GroupSolution> = keyed.into_iter().map(|(_, s)| s).collect();
-    let mut merged: GroupSolution = match per_partition.first() {
-        Some(first) => first.clone(),
-        None => GroupSolution {
-            labels: vec![None; relation.width()],
-            used_tuples: BTreeSet::new(),
-            partition_tuples: Vec::new(),
-            expressiveness: 0,
-            frequency: 0,
-            is_candidate: false,
-            conflict_repaired: None,
-        },
-    };
-    merged.partition_tuples = Vec::new(); // spans partitions
-    for other in per_partition.iter().skip(1) {
+    // nulls from the next widest, repeat.
+    per_partition
+        .sort_by(|(na, a), (nb, b)| nb.cmp(na).then_with(|| ctx.cmp_rows(&a.labels, &b.labels)));
+    let mut widest_first = per_partition.into_iter().map(|(_, s)| s);
+    let mut merged = widest_first
+        .next()
+        .unwrap_or_else(|| null_solution(relation.width()));
+    for other in widest_first {
         if merged.labels.iter().all(Option::is_some) {
             break;
         }
         let mut added = false;
         for (slot, label) in merged.labels.iter_mut().zip(&other.labels) {
             if slot.is_none() && label.is_some() {
-                *slot = label.clone();
+                *slot = *label;
                 added = true;
             }
         }
@@ -451,12 +442,10 @@ fn name_group_impl(
     merged.expressiveness = tuple_expressiveness(&merged.labels, ctx);
     merged.frequency = 0;
     merged.is_candidate = false;
-    if policy.repair_conflicts {
-        merged.conflict_repaired = repair_conflicts(&mut merged.labels, relation, ctx);
-    }
     (
         GroupNaming {
-            alternatives: vec![merged],
+            // Spans partitions: no single supplying partition.
+            solution: finish(merged, Vec::new(), &rows, policy, ctx),
             level: None,
             consistent: false,
         },
@@ -483,6 +472,95 @@ mod tests {
             .iter()
             .map(|l| l.as_deref().unwrap_or("∅"))
             .collect()
+    }
+
+    /// Random solution sets, two partitions each, with repeated label
+    /// vectors: the one-pass winner is the head of a stable sort in
+    /// §4.2.1's ranking order, written out here on spelled labels.
+    #[test]
+    fn one_pass_winner_is_head_of_stable_rank_sort() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        // Interned out of spelling order, so symbol order is not
+        // spelling order.
+        let vocabulary: Vec<qi_runtime::Symbol> = ["Zip", "Model", "Age", "Make", "City"]
+            .iter()
+            .map(|l| ctx.sym(l))
+            .collect();
+        let mut rng = qi_runtime::SplitMix64::new(0x0e_7a55);
+        for selection in [LabelSelection::MostDescriptive, LabelSelection::MostGeneral] {
+            for _ in 0..500 {
+                let mut items: Vec<(TupleSolution, usize)> = Vec::new();
+                for _ in 0..1 + rng.gen_range(12) {
+                    // Partition 1 repeats a label vector partition 0 saw.
+                    if !items.is_empty() && rng.gen_bool(0.3) {
+                        let (copy, _) = items[rng.gen_range(items.len())].clone();
+                        items.push((copy, 1));
+                        continue;
+                    }
+                    let labels = (0..3)
+                        .map(|_| {
+                            rng.gen_bool(0.8)
+                                .then(|| vocabulary[rng.gen_range(vocabulary.len())])
+                        })
+                        .collect();
+                    let solution = TupleSolution {
+                        labels,
+                        used_tuples: BTreeSet::new(),
+                        is_candidate: false,
+                        expressiveness: rng.gen_range(3),
+                        frequency: rng.gen_range(3),
+                    };
+                    items.push((solution, usize::from(items.len() % 2 == 1)));
+                }
+                let mut oracle = items.clone();
+                oracle.sort_by(|(a, _), (b, _)| {
+                    match selection {
+                        LabelSelection::MostDescriptive => b
+                            .expressiveness
+                            .cmp(&a.expressiveness)
+                            .then(b.frequency.cmp(&a.frequency)),
+                        LabelSelection::MostGeneral => b
+                            .frequency
+                            .cmp(&a.frequency)
+                            .then(a.expressiveness.cmp(&b.expressiveness)),
+                    }
+                    .then_with(|| ctx.spell_row(&a.labels).cmp(&ctx.spell_row(&b.labels)))
+                });
+                let winner = pick_best(items.iter(), |(s, _)| s, selection, &ctx);
+                assert_eq!(winner, oracle.first(), "{selection:?}: {items:?}");
+            }
+        }
+    }
+
+    /// The same label vector from two partitions: the first seen wins,
+    /// under either selection policy.
+    #[test]
+    fn first_partition_wins_a_repeated_label_vector() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let solution = |labels: &[&str], expressiveness: usize| TupleSolution {
+            labels: labels.iter().map(|l| Some(ctx.sym(l))).collect(),
+            used_tuples: BTreeSet::new(),
+            is_candidate: false,
+            expressiveness,
+            frequency: 1,
+        };
+        let items = [
+            (solution(&["Make", "Model"], 2), 0),
+            (solution(&["Vehicle Make", "Vehicle Model"], 3), 0),
+            (solution(&["Vehicle Make", "Vehicle Model"], 3), 1),
+            (solution(&["Make", "Model"], 2), 1),
+        ];
+        let descriptive = pick_best(
+            items.iter(),
+            |(s, _)| s,
+            LabelSelection::MostDescriptive,
+            &ctx,
+        );
+        assert_eq!(descriptive, Some(&items[1]));
+        let general = pick_best(items.iter(), |(s, _)| s, LabelSelection::MostGeneral, &ctx);
+        assert_eq!(general, Some(&items[0]));
     }
 
     /// Table 2 end-to-end: the group resolves at the string level to

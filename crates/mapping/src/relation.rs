@@ -18,22 +18,6 @@ pub struct GroupTuple {
     pub labels: Vec<Option<String>>,
 }
 
-impl GroupTuple {
-    /// Number of non-null components.
-    pub fn non_null_count(&self) -> usize {
-        self.labels.iter().filter(|l| l.is_some()).count()
-    }
-
-    /// Column indices with non-null labels.
-    pub fn covered_columns(&self) -> Vec<usize> {
-        self.labels
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.as_ref().map(|_| i))
-            .collect()
-    }
-}
-
 /// The group relation of one group of clusters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupRelation {
@@ -271,11 +255,16 @@ mod tests {
                 None
             ]
         );
-        assert_eq!(b.non_null_count(), 3);
-        assert_eq!(b.covered_columns(), vec![0, 1, 2]);
         let e = gr.tuple_of_schema(1).unwrap();
-        assert_eq!(e.non_null_count(), 3);
-        assert_eq!(e.covered_columns(), vec![1, 2, 3]);
+        assert_eq!(
+            e.labels,
+            vec![
+                None,
+                Some("Adults".to_string()),
+                Some("Children".to_string()),
+                Some("Infants".to_string())
+            ]
+        );
     }
 
     #[test]

@@ -10,31 +10,33 @@
 //! exists on every Linux the project targets; other platforms get `None`
 //! and the callers report the sample as unavailable rather than lying.
 
-/// Peak resident set size of the current process in bytes (`VmHWM`), or
-/// `None` when the platform has no procfs.
-pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_kb("VmHWM:").map(|kb| kb * 1024)
+/// Peak and current resident set size of the process, in bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RssSample {
+    /// High-water mark of the resident set (`VmHWM`).
+    pub peak: u64,
+    /// Current resident set (`VmRSS`).
+    pub current: u64,
 }
 
-/// Current resident set size of the current process in bytes (`VmRSS`),
-/// or `None` when the platform has no procfs.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_kb("VmRSS:").map(|kb| kb * 1024)
-}
-
-/// Read one `kB`-denominated field out of `/proc/self/status`.
-fn proc_status_kb(key: &str) -> Option<u64> {
+/// Peak and current RSS from a single read of `/proc/self/status`, or
+/// `None` when the platform has no procfs. One read keeps the pair
+/// ordered: with two reads, the allocation made for the first one can
+/// grow RSS past the high-water mark it reported.
+pub fn rss_sample() -> Option<RssSample> {
     if !cfg!(target_os = "linux") {
         return None;
     }
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix(key) {
-            let number = rest.trim().trim_end_matches("kB").trim();
-            return number.parse::<u64>().ok();
-        }
-    }
-    None
+    let kb = |key: &str| -> Option<u64> {
+        let line = status.lines().find_map(|l| l.strip_prefix(key))?;
+        let number = line.trim().trim_end_matches("kB").trim();
+        number.parse::<u64>().ok().map(|kb| kb * 1024)
+    };
+    Some(RssSample {
+        peak: kb("VmHWM:")?,
+        current: kb("VmRSS:")?,
+    })
 }
 
 #[cfg(test)]
@@ -44,8 +46,7 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn rss_samples_are_positive_and_ordered() {
-        let peak = peak_rss_bytes().expect("VmHWM readable on linux");
-        let current = current_rss_bytes().expect("VmRSS readable on linux");
+        let RssSample { peak, current } = rss_sample().expect("VmHWM/VmRSS readable on linux");
         assert!(current > 0);
         assert!(
             peak >= current,
@@ -56,14 +57,14 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn peak_tracks_allocation_growth() {
-        let before = peak_rss_bytes().unwrap();
+        let before = rss_sample().unwrap().peak;
         // 64 MiB touched page by page: VmHWM must move if it was near
         // the current RSS, and can never move backwards.
         let mut buf = vec![0u8; 64 << 20];
         for i in (0..buf.len()).step_by(4096) {
             buf[i] = 1;
         }
-        let after = peak_rss_bytes().unwrap();
+        let after = rss_sample().unwrap().peak;
         assert!(
             after >= before,
             "VmHWM moved backwards: {before} -> {after}"

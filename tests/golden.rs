@@ -92,3 +92,71 @@ fn golden_files_parse() {
         assert!(tree.leaves().count() >= 18);
     }
 }
+
+/// One seeded drift domain per generator call, as the batch benchmark
+/// draws them: 20 interfaces, `DriftConfig` defaults otherwise.
+fn drift_domain(seed: u64, lexicon: &Lexicon) -> qi_datasets::Domain {
+    let config = qi_datasets::DriftConfig {
+        seed,
+        domains: 1,
+        interfaces: 20,
+        ..qi_datasets::DriftConfig::default()
+    };
+    qi_datasets::generate_drift_corpus(&config, lexicon)
+        .pop()
+        .expect("one domain generated")
+}
+
+/// Drift domains labeled with their true clusters and with fuzzy-matcher
+/// clusters: per domain the rendered labeled tree, then each group's
+/// consistency level, `consistent` flag and homonym-repair outcome. Drift
+/// groups carry many naming alternatives, so this pins which one group
+/// naming selects. Regenerate with
+/// `UPDATE_GOLDEN=1 cargo test --test golden` and review the diff.
+#[test]
+fn golden_drift_labels() {
+    let lexicon = Lexicon::builtin();
+    let matcher = qi_mapping::MatcherConfig {
+        fuzzy: true,
+        threads: 1,
+        ..qi_mapping::MatcherConfig::default()
+    };
+    let mut seeds = qi_runtime::SplitMix64::new(0xD81F_7A6E);
+    let mut out = String::new();
+    for clusters in ["truth", "matched"] {
+        for index in 0..8 {
+            let seed = seeds.next_u64();
+            let domain = drift_domain(seed, &lexicon);
+            let matched = (clusters == "matched")
+                .then(|| qi_mapping::match_by_labels_with(&domain.schemas, &lexicon, matcher));
+            let mapping = matched.as_ref().unwrap_or(&domain.mapping);
+            let integrated = qi_merge::merge(&domain.schemas, mapping);
+            let labeled = Labeler::new(&lexicon, NamingPolicy::default()).label(
+                &domain.schemas,
+                mapping,
+                &integrated,
+            );
+            out.push_str(&format!("== {clusters} {index} seed {seed:#018x}\n"));
+            out.push_str(&qi_schema::text_format::render(&labeled.tree));
+            for (g, group) in labeled.report.groups.iter().enumerate() {
+                let level = group
+                    .level
+                    .map_or_else(|| "-".to_string(), |l| l.to_string());
+                out.push_str(&format!(
+                    "group {g}: level {level} consistent {} conflict_repaired {:?}\n",
+                    group.consistent, group.conflict_repaired
+                ));
+            }
+        }
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/drift_labels.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &out).expect("writing golden file");
+    }
+    let golden = std::fs::read_to_string(path).expect("tests/golden/drift_labels.txt is committed");
+    assert!(
+        out == golden,
+        "drift labeling drifted from tests/golden/drift_labels.txt; if the \
+         change is intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
+    );
+}
